@@ -1198,6 +1198,113 @@ func BenchmarkManyDefinitions(b *testing.B) {
 	}
 }
 
+// --- HORIZON: per-event cost as the run grows -------------------------------
+
+// BenchmarkHorizon runs the distsim default — 8 sites, the four
+// definitions Seq, Conj, Guard = NOT(C)[A, D] and Sweep = A*(A, B, C) in
+// Chronicle at one host — at 1k, 8k and 64k events, each on a fresh
+// system, and reports per size the wall-clock ns/event of the drive loop
+// (raise, step, settle), the detect stage's busy ns/event, and the final
+// detector state; plus the 64k run's pool hit-rate and growth-x, the
+// 64k ÷ 1k ns/event ratio.  A cost per event that grows with history —
+// the NOT node before release-horizon reclamation was cubic — shows up as
+// growth-x ≫ 1, and because it is a ratio within one run it does not
+// depend on machine speed: make bench-smoke gates it at ≤ 1.5.
+func BenchmarkHorizon(b *testing.B) {
+	sizes := []struct {
+		n    int
+		name string
+	}{{1_000, "1k"}, {8_000, "8k"}, {64_000, "64k"}}
+	runHorizonLadderStep(b, 1_000) // warm code paths and the allocator, untimed
+	var elapsed, detect [3]time.Duration
+	var state [3]int
+	var pool event.PoolStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, sz := range sizes {
+			r := runHorizonLadderStep(b, sz.n)
+			elapsed[k] += r.elapsed
+			detect[k] += r.detect
+			state[k] = r.state
+			pool = r.pool
+		}
+	}
+	b.StopTimer()
+	perEvent := func(d time.Duration, n int) float64 { return float64(d.Nanoseconds()) / float64(b.N*n) }
+	for k, sz := range sizes {
+		b.ReportMetric(perEvent(elapsed[k], sz.n), "ns/event-"+sz.name)
+		b.ReportMetric(perEvent(detect[k], sz.n), "detect-ns/event-"+sz.name)
+		b.ReportMetric(float64(state[k]), "state-"+sz.name)
+	}
+	if pool.Gets > 0 {
+		b.ReportMetric(1-float64(pool.Misses)/float64(pool.Gets), "pool-hit-rate")
+	}
+	b.ReportMetric(perEvent(elapsed[2], sizes[2].n)/perEvent(elapsed[0], sizes[0].n), "growth-x")
+}
+
+// horizonStep is one BenchmarkHorizon run's measurements.
+type horizonStep struct {
+	elapsed, detect time.Duration
+	state           int
+	pool            event.PoolStats
+}
+
+// runHorizonLadderStep builds the distsim default system (seed 42; setup
+// untimed) and drives an events-long stream through it.
+func runHorizonLadderStep(b *testing.B, events int) horizonStep {
+	b.Helper()
+	b.StopTimer()
+	const seed = 42
+	sys := ddetect.MustNewSystem(ddetect.Config{Net: network.Config{
+		BaseLatency: 20, Jitter: 40, Seed: workload.SubSeed(seed, "net"),
+	}})
+	rng := rand.New(rand.NewSource(workload.SubSeed(seed, "topology")))
+	ids := workload.SiteIDs(8)
+	for _, id := range ids {
+		sys.MustAddSite(id, rng.Int63n(61)-30, rng.Int63n(5))
+	}
+	types := []string{"A", "B", "C", "D"}
+	for _, typ := range types {
+		if err := sys.Declare(typ, event.Explicit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, d := range []struct{ name, expr string }{
+		{"Seq", "A ; B"}, {"Conj", "C AND D"}, {"Guard", "NOT(C)[A, D]"}, {"Sweep", "A*(A, B, C)"},
+	} {
+		if _, err := sys.DefineAt(ids[0], d.name, d.expr, detector.Chronicle); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sys.Roster()
+	trace := workload.GenStream(workload.StreamConfig{
+		Sites: ids, Types: types, MeanGap: 60, Count: events,
+		Seed: workload.SubSeed(seed, "stream"), OmitParams: true,
+	})
+	b.StartTimer()
+	start := time.Now()
+	for _, item := range trace.Items {
+		sys.Run(item.At, 50)
+		sys.Site(item.Site).MustRaise(item.Type, event.Explicit, nil)
+	}
+	if err := sys.Settle(10_000); err != nil {
+		b.Fatal(err)
+	}
+	r := horizonStep{elapsed: time.Since(start), pool: sys.PoolStats()}
+	b.StopTimer()
+	for _, sg := range sys.Stats().Stages {
+		if sg.Name == "detect" {
+			r.detect = sg.Busy
+		}
+	}
+	for _, id := range ids {
+		r.state += sys.Site(id).Detector().StateSize()
+	}
+	b.StartTimer()
+	return r
+}
+
 // sinks prevent dead-code elimination.
 var (
 	sinkInt int

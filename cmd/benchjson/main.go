@@ -59,36 +59,47 @@ type Report struct {
 	Baseline []Record `json:"baseline,omitempty"`
 }
 
-// minMetric is one -min-metric floor: every benchmark in the new report
-// that emits the named custom metric must reach the floor, and at least
-// one benchmark must emit it at all (so deleting the gated benchmark
-// cannot silently pass the gate).
-type minMetric struct {
+// metricBound is one -min-metric floor or -max-metric ceiling: every
+// benchmark in the new report that emits the named custom metric must keep
+// its median on the allowed side of limit, and at least one benchmark must
+// emit it at all (so deleting the gated benchmark cannot silently pass the
+// gate).
+type metricBound struct {
 	name  string
-	floor float64
+	limit float64
+	max   bool
 }
 
-// minMetricFlags collects repeated -min-metric name=value occurrences.
-type minMetricFlags []minMetric
+// metricFlags collects repeated name=value occurrences of -min-metric
+// (max false) or -max-metric (max true) into one shared bound list.
+type metricFlags struct {
+	bounds *[]metricBound
+	max    bool
+}
 
-func (m *minMetricFlags) String() string {
+func (m metricFlags) String() string {
+	if m.bounds == nil {
+		return ""
+	}
 	var parts []string
-	for _, mm := range *m {
-		parts = append(parts, fmt.Sprintf("%s=%g", mm.name, mm.floor))
+	for _, b := range *m.bounds {
+		if b.max == m.max {
+			parts = append(parts, fmt.Sprintf("%s=%g", b.name, b.limit))
+		}
 	}
 	return strings.Join(parts, ",")
 }
 
-func (m *minMetricFlags) Set(s string) error {
+func (m metricFlags) Set(s string) error {
 	name, val, ok := strings.Cut(s, "=")
 	if !ok || name == "" {
 		return fmt.Errorf("want name=value, got %q", s)
 	}
-	floor, err := strconv.ParseFloat(val, 64)
+	limit, err := strconv.ParseFloat(val, 64)
 	if err != nil {
-		return fmt.Errorf("bad floor in %q: %v", s, err)
+		return fmt.Errorf("bad bound in %q: %v", s, err)
 	}
-	*m = append(*m, minMetric{name: name, floor: floor})
+	*m.bounds = append(*m.bounds, metricBound{name: name, limit: limit, max: m.max})
 	return nil
 }
 
@@ -98,9 +109,11 @@ func main() {
 	compare := flag.Bool("compare", false, "compare two report files (old.json new.json) and print a delta table")
 	maxAllocRegress := flag.Float64("max-alloc-regress", -1,
 		"with -compare: fail (exit 1) if any benchmark's median allocs/op grew more than this percentage over the old report (0 = any growth fails)")
-	var minMetrics minMetricFlags
-	flag.Var(&minMetrics, "min-metric",
+	var bounds []metricBound
+	flag.Var(metricFlags{bounds: &bounds}, "min-metric",
 		"with -compare: name=value floor on a custom b.ReportMetric unit in the new report (repeatable); fails if any benchmark's median falls below it, or if no benchmark reports it")
+	flag.Var(metricFlags{bounds: &bounds, max: true}, "max-metric",
+		"with -compare: name=value ceiling on a custom b.ReportMetric unit in the new report (repeatable); fails if any benchmark's median exceeds it, or if no benchmark reports it")
 	flag.Parse()
 
 	if *compare {
@@ -123,13 +136,13 @@ func main() {
 						os.Exit(1)
 					}
 				}
-				if err == nil && len(minMetrics) > 0 {
-					bad := metricShortfalls(newRep.Records, minMetrics)
+				if err == nil && len(bounds) > 0 {
+					bad := metricShortfalls(newRep.Records, bounds)
 					if len(bad) > 0 {
 						for _, b := range bad {
 							fmt.Fprintln(os.Stderr, "benchjson:", b)
 						}
-						fmt.Fprintln(os.Stderr, "benchjson: metric floor not met")
+						fmt.Fprintln(os.Stderr, "benchjson: metric bound not met")
 						os.Exit(1)
 					}
 				}
@@ -145,8 +158,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: -max-alloc-regress only applies with -compare")
 		os.Exit(2)
 	}
-	if len(minMetrics) > 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: -min-metric only applies with -compare")
+	if len(bounds) > 0 {
+		fmt.Fprintln(os.Stderr, "benchjson: -min-metric and -max-metric only apply with -compare")
 		os.Exit(2)
 	}
 
@@ -306,13 +319,14 @@ func allocRegressions(oldRecs, newRecs []Record, maxPct float64) []string {
 	return bad
 }
 
-// metricShortfalls enforces the -min-metric floors against the new
-// report: per floor, every benchmark emitting the metric must have a
-// median at or above it, and the metric must appear somewhere — a gate
-// whose benchmark vanished should fail loudly, not pass vacuously.
-func metricShortfalls(recs []Record, mins []minMetric) []string {
+// metricShortfalls enforces the -min-metric floors and -max-metric
+// ceilings against the new report: per bound, every benchmark emitting
+// the metric must have a median on the allowed side of it, and the metric
+// must appear somewhere — a gate whose benchmark vanished should fail
+// loudly, not pass vacuously.
+func metricShortfalls(recs []Record, bounds []metricBound) []string {
 	var bad []string
-	for _, mm := range mins {
+	for _, mm := range bounds {
 		vals := map[string][]float64{}
 		var order []string
 		for _, r := range recs {
@@ -325,13 +339,17 @@ func metricShortfalls(recs []Record, mins []minMetric) []string {
 			}
 			vals[r.Name] = append(vals[r.Name], v)
 		}
+		kind := "floor"
+		if mm.max {
+			kind = "ceiling"
+		}
 		if len(order) == 0 {
-			bad = append(bad, fmt.Sprintf("no benchmark reports metric %q (floor %g)", mm.name, mm.floor))
+			bad = append(bad, fmt.Sprintf("no benchmark reports metric %q (%s %g)", mm.name, kind, mm.limit))
 			continue
 		}
 		for _, name := range order {
-			if m := median(vals[name]); m < mm.floor {
-				bad = append(bad, fmt.Sprintf("%s: %s %.4g below floor %g", name, mm.name, m, mm.floor))
+			if m := median(vals[name]); (mm.max && m > mm.limit) || (!mm.max && m < mm.limit) {
+				bad = append(bad, fmt.Sprintf("%s: %s %.4g beyond %s %g", name, mm.name, m, kind, mm.limit))
 			}
 		}
 	}

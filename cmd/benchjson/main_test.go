@@ -160,31 +160,59 @@ func TestMetricShortfalls(t *testing.T) {
 		{Name: "BenchmarkOther", NsPerOp: 10, Metrics: map[string]float64{"hit-rate": 0.5}},
 	}
 	// Median (1.4e6) clears the floor despite the cold repeat.
-	if bad := metricShortfalls(recs, []minMetric{{name: "events/sec", floor: 1e6}}); len(bad) != 0 {
+	if bad := metricShortfalls(recs, []metricBound{{name: "events/sec", limit: 1e6}}); len(bad) != 0 {
 		t.Fatalf("shortfalls = %v, want none (median clears the floor)", bad)
 	}
 	// A floor above the median trips on the benchmark.
-	bad := metricShortfalls(recs, []minMetric{{name: "events/sec", floor: 1.5e6}})
+	bad := metricShortfalls(recs, []metricBound{{name: "events/sec", limit: 1.5e6}})
 	if len(bad) != 1 || !strings.Contains(bad[0], "BenchmarkThroughput") {
 		t.Fatalf("shortfalls = %v, want BenchmarkThroughput", bad)
 	}
 	// A floor on a metric nothing reports fails loudly, not vacuously.
-	bad = metricShortfalls(recs, []minMetric{{name: "gone/sec", floor: 1}})
+	bad = metricShortfalls(recs, []metricBound{{name: "gone/sec", limit: 1}})
 	if len(bad) != 1 || !strings.Contains(bad[0], "gone/sec") {
 		t.Fatalf("shortfalls = %v, want a missing-metric failure", bad)
 	}
 }
 
+func TestMetricCeilings(t *testing.T) {
+	recs := []Record{
+		{Name: "BenchmarkHorizon", NsPerOp: 10, Metrics: map[string]float64{"growth-x": 1.1}},
+		{Name: "BenchmarkHorizon", NsPerOp: 10, Metrics: map[string]float64{"growth-x": 1.3}},
+		{Name: "BenchmarkHorizon", NsPerOp: 10, Metrics: map[string]float64{"growth-x": 9.0}}, // outlier repeat
+	}
+	// Median (1.3) stays under the ceiling despite the outlier.
+	if bad := metricShortfalls(recs, []metricBound{{name: "growth-x", limit: 1.5, max: true}}); len(bad) != 0 {
+		t.Fatalf("shortfalls = %v, want none (median under the ceiling)", bad)
+	}
+	bad := metricShortfalls(recs, []metricBound{{name: "growth-x", limit: 1.2, max: true}})
+	if len(bad) != 1 || !strings.Contains(bad[0], "ceiling") {
+		t.Fatalf("shortfalls = %v, want a ceiling breach", bad)
+	}
+	bad = metricShortfalls(recs, []metricBound{{name: "gone-x", limit: 1, max: true}})
+	if len(bad) != 1 || !strings.Contains(bad[0], "gone-x") {
+		t.Fatalf("shortfalls = %v, want a missing-metric failure", bad)
+	}
+}
+
 func TestMinMetricFlagParse(t *testing.T) {
-	var m minMetricFlags
+	var bounds []metricBound
+	m := metricFlags{bounds: &bounds}
 	if err := m.Set("events/sec=1000000"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Set("hit-rate=0.95"); err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 2 || m[0].name != "events/sec" || m[0].floor != 1e6 || m[1].floor != 0.95 {
-		t.Fatalf("flags = %+v", m)
+	if err := (metricFlags{bounds: &bounds, max: true}).Set("growth-x=1.5"); err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds) != 3 || bounds[0].name != "events/sec" || bounds[0].limit != 1e6 || bounds[1].limit != 0.95 ||
+		bounds[0].max || !bounds[2].max || bounds[2].limit != 1.5 {
+		t.Fatalf("flags = %+v", bounds)
+	}
+	if got := m.String(); got != "events/sec=1e+06,hit-rate=0.95" {
+		t.Fatalf("min-metric String() = %q", got)
 	}
 	for _, bad := range []string{"noequals", "=5", "x=notanumber"} {
 		if err := m.Set(bad); err == nil {

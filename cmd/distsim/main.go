@@ -351,6 +351,18 @@ func simulate(w io.Writer, o options) {
 		} else {
 			fmt.Fprintln(w, "occurrence pool: disabled (-no-pool)")
 		}
+		// Detector state summed over sites: what is still buffered, what
+		// the release horizon proved dead and freed, and what a buffer
+		// limit evicted at a recall cost (none here: distsim sets no limit).
+		var state int
+		var reclaimed, dropped uint64
+		for _, id := range siteIDs {
+			is := sys.Site(id).Detector().Introspect()
+			state += is.StateSize
+			reclaimed += is.Reclaimed
+			dropped += is.Dropped
+		}
+		fmt.Fprintf(w, "detector state: size=%d reclaimed=%d dropped=%d\n", state, reclaimed, dropped)
 		fmt.Fprintln(w, "stage legs (event-time microticks per lifecycle hop):")
 		for _, ls := range st.Legs {
 			if ls.Count == 0 {

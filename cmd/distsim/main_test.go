@@ -235,7 +235,7 @@ func TestSimulateStatsSection(t *testing.T) {
 	out := runSim(t, o)
 	for _, want := range []string{
 		"pipeline stages", "ingest", "transport", "release", "detect", "publish",
-		"occurrence pool: gets=",
+		"occurrence pool: gets=", "detector state: size=",
 		"stage legs", "raise_to_send", "send_to_recv", "recv_to_release", "release_to_publish",
 	} {
 		if !strings.Contains(out, want) {

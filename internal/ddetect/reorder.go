@@ -33,6 +33,16 @@
 // each definition fully evaluated at one hosting site over primitive
 // streams — is exact.
 //
+// The same frontiers bound what is still to come.  After a release, no
+// event the reorderer will ever release has a maximal global component
+// below the minimum frontier, nor below the frontier of a decommissioned
+// source whose stream may still be arriving.  That release horizon feeds
+// each site's detector, which drops the operator state it proves dead
+// (DESIGN.md §2k).  A forwarded composite breaks the premise: it leaves
+// its host when it completes, after heartbeats that already advanced the
+// host's frontier past the composite's own stamp.  Sites receiving
+// forwarded composites therefore get no horizon.
+//
 // All per-source state is indexed by dense roster index (core.Site), not
 // by SiteID string: a full-membership reorderer (an event sink's) holds
 // one sourceState slot per roster member, addressed directly, and a
@@ -48,6 +58,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/network"
 )
 
 // envKind distinguishes bus payloads.
@@ -115,6 +126,11 @@ type reorderer struct {
 	// ingested, a frontier advanced, a source excluded) since the last
 	// release call; a clean reorderer's release is an immediate no-op.
 	stale bool
+	// draining lists excluded sources whose stream may not be complete
+	// yet: messages they sent before the exclusion can still be in
+	// flight or parked behind a FIFO gap.  Each bounds the release
+	// horizon by its frontier until settleDrain retires it.
+	draining []core.Site
 }
 
 // newReorderer builds a full-membership reorderer: one source slot per
@@ -322,14 +338,53 @@ func (r *reorderer) minFrontier() int64 {
 
 // exclude removes a source from watermark gating.  Its already-buffered
 // FIFO stream remains valid; only its (now silent) clock stops holding
-// everyone else back.
+// everyone else back.  The source keeps bounding the release horizon
+// until its stream is known complete (see settleDrain).
 func (r *reorderer) exclude(from core.Site) {
 	if i := r.slot(from); i >= 0 && !r.sources[i].excluded {
 		r.sources[i].excluded = true
 		r.gating--
 		r.minDirty = true
 		r.stale = true
+		r.draining = append(r.draining, from)
 	}
+}
+
+// settleDrain retires the draining sources whose stream to owner is
+// complete: every sequence number the bus ever stamped on the link has
+// been consumed in order (the owner's own stream never rides the bus).
+// Such a source can deliver nothing more — it was excluded because it
+// stopped.  It returns the number retired.
+func (r *reorderer) settleDrain(owner core.Site, bus *network.Bus) int {
+	live := r.draining[:0]
+	for _, from := range r.draining {
+		if from != owner && bus.LinkSeq(from, owner) != r.sources[r.slot(from)].nextSeq-1 {
+			live = append(live, from)
+		}
+	}
+	n := len(r.draining) - len(live)
+	r.draining = live
+	return n
+}
+
+// horizon returns the release horizon: a lower bound on the maximal
+// global component of every event this reorderer will release from now
+// on, valid right after a release call.  Every gating source's future
+// events carry a global time at or above its frontier (clocks are
+// monotone and the frontier covers its in-order prefix), the events
+// still queued sit above minFrontier + slack ≥ minFrontier, and a
+// draining source can still deliver from its own frontier up.  ok is
+// false while some bounding frontier is unknown (MinInt64) or nothing
+// gates any more.
+func (r *reorderer) horizon() (h int64, ok bool) {
+	if r.gating == 0 {
+		return 0, false
+	}
+	h = r.minFrontier()
+	for _, from := range r.draining {
+		h = min(h, r.sources[r.slot(from)].frontier)
+	}
+	return h, h != math.MinInt64
 }
 
 // ReleaseMode selects how aggressively the watermark releases events.

@@ -245,6 +245,9 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 		}
 		m.Payload = nil
 	}
+	if sys.draining > 0 {
+		sys.settleDrains()
+	}
 	return n
 }
 
@@ -363,14 +366,16 @@ func (st *releaseStage) Tick(now clock.Microticks) int {
 	return n
 }
 
-// detectStage runs every site's detector over its released inbox and
-// fires due detector timers — in parallel across sites when the pool has
-// workers.  Workers confine their writes to the site they own: the
-// detector graph, the inbox they drain and the detected buffer the
-// System's per-definition recorder appends to.  Detections are NOT
-// published here; they are buffered per site and handed to the publish
-// stage, so user handlers, stats and bus traffic stay on the crank
-// goroutine and in deterministic site order.
+// detectStage runs every site's detector over its released inbox, fires
+// due detector timers and hands the detector its reorderer's release
+// horizon — in parallel across sites when the pool has workers.  Workers
+// confine their writes to the site they own: the detector graph, the
+// reorderer's cached frontier minimum (refreshed by the horizon read),
+// the inbox they drain and the detected buffer the System's
+// per-definition recorder appends to.  Detections are NOT published
+// here; they are buffered per site and handed to the publish stage, so
+// user handlers, stats and bus traffic stay on the crank goroutine and
+// in deterministic site order.
 type detectStage struct {
 	sys *System
 	// active is the reused shard list: the sites with a non-empty inbox
@@ -408,6 +413,14 @@ func (st *detectStage) Tick(now clock.Microticks) int {
 		}
 		s.inbox = s.inbox[:0]
 		s.det.AdvanceTo(now)
+		// Everything this tick delivers and fires is in; what the detector
+		// sees from here on lies at or above the horizon, so it may drop
+		// the state that bound proves dead.
+		if s.reclaims {
+			if h, ok := s.re.horizon(); ok {
+				s.det.SetHorizon(h)
+			}
+		}
 	})
 	return n
 }

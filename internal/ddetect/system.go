@@ -355,6 +355,10 @@ type System struct {
 	// inFlightEvents counts event envelopes on the bus (heartbeats are
 	// perpetual and excluded), for the quiescence check.
 	inFlightEvents int
+	// draining counts (site, decommissioned source) pairs whose stream
+	// may still deliver; the transport stage retires them as they drain
+	// (see reorderer.settleDrain).
+	draining int
 }
 
 // NewSystem builds a system.
@@ -515,6 +519,7 @@ func (sys *System) collectMetrics(emit func(name string, value float64)) {
 		is := s.det.Introspect()
 		emit(fmt.Sprintf("sentinel_detector_state_size{site=%q}", s.ID), float64(is.StateSize))
 		emit(fmt.Sprintf("sentinel_detector_dropped_total{site=%q}", s.ID), float64(is.Dropped))
+		emit(fmt.Sprintf("sentinel_detector_reclaimed_total{site=%q}", s.ID), float64(is.Reclaimed))
 		emit(fmt.Sprintf("sentinel_detector_pending_timers{site=%q}", s.ID), float64(is.PendingTimers))
 		emit(fmt.Sprintf("sentinel_detector_nodes{site=%q}", s.ID), float64(is.NodeCount))
 		emit(fmt.Sprintf("sentinel_detector_shared_subexprs{site=%q}", s.ID), float64(is.SharedSubexprs))
@@ -641,6 +646,11 @@ type Site struct {
 	// idx is the site's dense roster index, assigned at seal; every
 	// post-seal per-message path addresses the site by it.
 	idx core.Site
+	// reclaims marks a site whose detector is handed its reorderer's
+	// release horizon after every detect tick (DESIGN.md §2k).  seal
+	// clears it for sites that receive hierarchically forwarded
+	// composites, Decommission for the dead site.
+	reclaims bool
 
 	selfSeq uint64
 	// lastLocal tracks the last raised local tick per event class, for
@@ -701,10 +711,26 @@ func (sys *System) Decommission(id core.SiteID) error {
 	if err := sys.Crash(id); err != nil {
 		return err
 	}
+	// The dead site's detector loses its horizon: its own clock no longer
+	// bounds the watermark, yet it still stamps its temporal operators.
+	dead.reclaims = false
+	sys.draining = 0
 	for _, s := range sys.sites {
 		s.re.exclude(dead.idx)
+		sys.draining += len(s.re.draining)
 	}
 	return nil
+}
+
+// settleDrains retires the decommissioned sources whose streams have
+// fully arrived, so they stop holding back the release horizon.  Runs on
+// the crank goroutine after the transport stage's drain.
+func (sys *System) settleDrains() {
+	for _, s := range sys.sites {
+		if len(s.re.draining) > 0 {
+			sys.draining -= s.re.settleDrain(s.idx, sys.bus)
+		}
+	}
 }
 
 // siteTime adapts a site clock to detector.TimeSource.
@@ -904,6 +930,7 @@ func (sys *System) seal() {
 	sys.roster = core.NewRoster(ids)
 	for i, s := range sys.sites {
 		s.idx = core.Site(i)
+		s.reclaims = true
 	}
 	sys.bus.SetRoster(sys.roster)
 	sys.codec = &wire.Codec{Roster: sys.roster, Granule: int64(sys.cfg.Clock.GlobalGranularity), Types: sys.reg}
@@ -916,6 +943,18 @@ func (sys *System) seal() {
 			sink[dense[i]] = true
 		}
 		sys.needersIdx[typ] = dense
+		// A site receiving hierarchically forwarded composites gets no
+		// release horizon: a forwarded composite's maximal global
+		// component can sit below its source's frontier (see the
+		// reorder.go package comment).
+		if t, err := sys.reg.Lookup(typ); err == nil && t.Class == event.Composite {
+			origin := sys.hostOf(typ)
+			for _, d := range dense {
+				if origin == nil || d != origin.idx {
+					sys.sites[d].reclaims = false
+				}
+			}
+		}
 	}
 	for _, s := range sys.sites {
 		if sink[s.idx] {
@@ -951,7 +990,10 @@ func (s *Site) StampNow() core.Stamp {
 // Detector exposes the site's detector (for advanced wiring in examples
 // and tests).  Handlers subscribed directly here — rather than through
 // System.Subscribe — run inside the detect stage, on a worker goroutine
-// when Config.Pipeline.Workers > 1.
+// when Config.Pipeline.Workers > 1.  The detect stage hands the detector
+// its release horizon, so an occurrence published here directly must
+// not carry a stamp below it: such an occurrence bypasses the reorderer
+// that the horizon is derived from.
 func (s *Site) Detector() *detector.Detector { return s.det }
 
 // Raise raises a primitive event at this site, stamped by its clock, and

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -119,6 +120,14 @@ type Detector struct {
 	bufferLimit int
 	dropped     uint64
 
+	// horizon is the highest release horizon handed to SetHorizon
+	// (MinInt64 before the first); reclaimers are the compiled nodes
+	// that drop state it proves dead, and reclaimed counts what they
+	// dropped.  See horizon.go.
+	horizon    int64
+	reclaimers []reclaimer
+	reclaimed  uint64
+
 	// orderCheck validates the caller's linear-extension obligation; see
 	// SetOrderChecking.
 	orderCheck      bool
@@ -174,6 +183,7 @@ func New(site core.SiteID, reg *event.Registry, ts TimeSource) *Detector {
 		interner: expr.NewInterner(),
 		shared:   make(map[sharedKey]*sharedNode),
 		sharing:  true,
+		horizon:  math.MinInt64,
 	}
 }
 
@@ -555,6 +565,9 @@ func (d *Detector) compile(id expr.NodeID, name string, ctx Context, out emitFun
 		}
 	}
 	d.nodes = append(d.nodes, node)
+	if r, ok := node.(reclaimer); ok {
+		d.reclaimers = append(d.reclaimers, r)
+	}
 	kids := d.interner.Children(id)
 	for i, c := range n.Children() {
 		if p, ok := c.(*expr.Prim); ok {

@@ -2,9 +2,8 @@ package detector
 
 // Introspection: operator nodes report how much constituent state they
 // retain, so operators and deployments can be monitored for buffer growth
-// (e.g. Unrestricted-context definitions, or NOT initiators retained
-// because a spoiler does not dominate every future terminator in the
-// partial order).
+// (e.g. Unrestricted-context definitions, or a detector never handed a
+// release horizon, whose spoiled NOT initiators are never reclaimed).
 
 // stateful is implemented by nodes that buffer occurrences.
 type stateful interface {
@@ -41,9 +40,10 @@ func (n *periodicNode) stateSize() int {
 
 // StateSize returns the total number of occurrences buffered across all
 // operator nodes of all definitions, plus armed timers.  A steady
-// workload against consuming contexts keeps this bounded; Unrestricted
-// (and spoiler-heavy NOT workloads) grow it, which is exactly what a
-// deployment wants to alarm on.
+// workload against consuming contexts keeps this bounded — NOT included,
+// once the detector is handed release horizons (SetHorizon); Unrestricted
+// contexts, and initiators whose terminators never come, grow it, which
+// is exactly what a deployment wants to alarm on.
 func (d *Detector) StateSize() int {
 	total := d.timers.Len()
 	for _, n := range d.nodes {
@@ -71,6 +71,10 @@ type IntrospectStats struct {
 	// Dropped is DroppedOccurrences: buffer-limit evictions (recall lost
 	// to bounded state).
 	Dropped uint64
+	// Reclaimed counts buffered entries released because a release
+	// horizon proved them dead (SetHorizon).  Unlike Dropped, no recall
+	// is lost: they could never have contributed to a detection.
+	Reclaimed uint64
 	// OrderViolations is OrderViolations: out-of-order publishes seen
 	// with order checking enabled.
 	OrderViolations uint64
@@ -91,6 +95,7 @@ func (d *Detector) Introspect() IntrospectStats {
 		NodeCount:        len(d.nodes),
 		PendingTimers:    d.timers.Len(),
 		Dropped:          d.dropped,
+		Reclaimed:        d.reclaimed,
 		OrderViolations:  d.orderViolations,
 		SharedSubexprs:   len(d.shared),
 		InternedSubtrees: d.interner.Len(),

@@ -1,12 +1,17 @@
 package detector
 
-// Buffer limiting: in the partial order some retained state can never be
-// garbage-collected safely by reasoning alone (a NOT initiator spoiled by
-// an E2 can still pair with a terminator concurrent with the spoiler; an
-// Unrestricted context never consumes).  Production deployments bound
-// that state instead: SetBufferLimit caps every per-node buffer, evicting
-// the oldest entries first and counting what was dropped, so memory is
-// bounded at an explicit, observable recall cost.
+// Buffer limiting: the explicitly lossy bound on retained state.
+//
+// Arrival order alone cannot prove state dead: a NOT initiator spoiled by
+// an E2 can still pair with a later terminator concurrent with the
+// spoiler.  A release horizon can (SetHorizon, horizon.go): once every
+// future occurrence lies above the spoiler in the partial order, the
+// initiator is dead and reclaiming it loses nothing.  What no horizon
+// bounds — an Unrestricted context never consumes, an initiator whose
+// terminator never comes stays eligible — a deployment can cap instead:
+// SetBufferLimit caps every per-node buffer, evicting the oldest entries
+// first and counting what was dropped, so memory is bounded at an
+// explicit, observable recall cost.
 
 // trimmable is implemented by nodes with evictable buffers.
 type trimmable interface {

@@ -422,8 +422,10 @@ type notNode struct {
 
 	inits []*event.Occurrence
 	e2s   []*event.Occurrence
-	// eligible is scratch for the per-terminator initiator scan.
+	// eligible is scratch for the per-terminator initiator scan; dead is
+	// scratch for reclaim's horizon-dead spoilers.
 	eligible []int
+	dead     []*event.Occurrence
 }
 
 //sentinel:hotpath
@@ -445,10 +447,9 @@ func (n *notNode) onChild(idx int, o *event.Occurrence) {
 		// No live initiator precedes it and none arriving later can
 		// (linear extension), so it can never spoil: drop.
 	case 2: // terminator E3
-		t3 := o.Stamp
 		eligible := n.eligible[:0]
 		for i, init := range n.inits {
-			if event.StampLess(init, o) && !n.spoiled(init.Stamp, t3) {
+			if event.StampLess(init, o) && !n.spoiled(init, o) {
 				eligible = append(eligible, i)
 			}
 		}
@@ -486,10 +487,10 @@ func (n *notNode) onChild(idx int, o *event.Occurrence) {
 }
 
 // spoiled reports whether a buffered E2 lies in the open interval
-// (t1, t3).
-func (n *notNode) spoiled(t1, t3 core.SetStamp) bool {
+// (T(init), T(term)) of Definition 5.5.
+func (n *notNode) spoiled(init, term *event.Occurrence) bool {
 	for _, e2 := range n.e2s {
-		if e2.Stamp.InOpenSet(t1, t3) {
+		if event.StampLess(init, e2) && event.StampLess(e2, term) {
 			return true
 		}
 	}

@@ -457,6 +457,23 @@ func (b *Bus) DeliverDue(now clock.Microticks, fn func(Message)) int {
 	}
 }
 
+// LinkSeq returns the last sequence number stamped on the (from, to) link
+// — the number of messages ever sent on it — or 0 for a link that never
+// carried traffic.  A receiver that has consumed every sequence number up
+// to LinkSeq in order holds the sender's complete stream so far.
+// Requires a roster, like the Site send methods.
+func (b *Bus) LinkSeq(from, to core.Site) uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fl := &b.byFrom[from]
+	for i, t := range fl.tos {
+		if t == to {
+			return fl.ls[i].seq
+		}
+	}
+	return 0
+}
+
 // Pending returns the number of in-flight messages.
 func (b *Bus) Pending() int {
 	b.mu.Lock()

@@ -73,3 +73,31 @@ func TestSetRosterRehomesExistingLinks(t *testing.T) {
 		t.Fatalf("dense send lost string addressing: %+v", m)
 	}
 }
+
+// TestLinkSeqCountsSentMessages: LinkSeq is the last sequence number the
+// link stamped — batched and unbatched sends alike, retransmissions not
+// counted twice — and 0 for a link that never carried traffic.
+func TestLinkSeqCountsSentMessages(t *testing.T) {
+	roster := core.NewRoster([]core.SiteID{"a", "b", "c"})
+	a, b, c := roster.MustSite("a"), roster.MustSite("b"), roster.MustSite("c")
+	bus := NewBus(Config{BaseLatency: 5, DropRate: 0.5, RetransmitDelay: 7, Seed: 3})
+	bus.SetRoster(roster)
+	if got := bus.LinkSeq(a, b); got != 0 {
+		t.Fatalf("unused link LinkSeq = %d, want 0", got)
+	}
+	var last Message
+	for i := 0; i < 4; i++ {
+		last = bus.SendBatchSite(int64(i), a, b, i, 2, 0)
+	}
+	bus.SendUnbatchedSite(9, a, b, 3, func(j int) any { return j })
+	if got := bus.LinkSeq(a, b); got != last.Seq+3 || got != 7 {
+		t.Fatalf("LinkSeq(a, b) = %d, want 7", got)
+	}
+	if got := bus.LinkSeq(b, a); got != 0 {
+		t.Fatalf("reverse link LinkSeq = %d, want 0", got)
+	}
+	bus.SendBatchSite(0, c, b, nil, 1, 0)
+	if got := bus.LinkSeq(c, b); got != 1 {
+		t.Fatalf("LinkSeq(c, b) = %d, want 1", got)
+	}
+}
