@@ -45,22 +45,26 @@ type linkCoalescer struct {
 
 	// freeEnvs recycles flushed batch slices for in-memory payloads; the
 	// transport stage returns each slice after unpacking it.  freeRuns
-	// recycles the envRun boxes those slices ship in, freeBufs does the
-	// same for serialized frames, and wenvs is the reused wire-envelope
-	// staging slice for batch encoding.
+	// recycles the envRun boxes every batch ships in, runs counts the
+	// boxes ever allocated (all of them are on freeRuns whenever the bus
+	// is empty), and wenvs is the reused wire-envelope staging slice for
+	// batch encoding.
 	freeEnvs [][]envelope
 	freeRuns []*envRun
-	freeBufs [][]byte
+	runs     int
 	wenvs    []wire.Envelope
 }
 
-// envRun is the bus payload of an in-memory coalesced batch.  Boxing the
-// run as a pointer costs nothing per flush; boxing the []envelope slice
-// header directly into the Message's any field copied it to the heap on
-// every send — the single largest allocation site of the 16-site
-// end-to-end profile before this container existed.
+// envRun is the bus payload of a coalesced batch: the envelope run itself
+// in memory, or its encoded wire frame when serializing.  Boxing the run
+// as a pointer costs nothing per flush; boxing a slice header — the
+// []envelope run, or the []byte frame — directly into the Message's any
+// field copied it to the heap on every send, once the largest allocation
+// site of the end-to-end profiles.  The frame buffer stays with its box
+// across recycling, so a steady stream of frames reuses the same bytes.
 type envRun struct {
-	envs []envelope
+	envs  []envelope
+	frame []byte
 }
 
 // linkBatch is one link's accumulating envelope run, addressed by dense
@@ -143,8 +147,7 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 					Site: string(from), SiteRef: int32(lb.from) + 1, Peer: string(to), Type: env.Occ.Type})
 			}
 		}
-		switch {
-		case sys.cfg.DisableBatching:
+		if sys.cfg.DisableBatching {
 			// Differential mode: the same envelopes as per-envelope
 			// messages with consecutive sequence numbers, under the one
 			// shared draw SendBatchSite would have consumed.
@@ -158,27 +161,30 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 				releaseOccs(envs)
 			}
 			c.recycleEnvs(envs)
-		case sys.cfg.Serialize:
-			buf := c.getBuf()
+			continue
+		}
+		// The link's batch ships in a pooled envRun box, which the
+		// transport stage recycles after unpacking.  In memory, ownership
+		// of the envelopes — and their occurrence references — transfers
+		// to the box.  Serialized, the box carries the encoded frame in its
+		// own reused buffer; the receiver decodes fresh occurrences, so the
+		// in-memory originals' transport references end at the encode.
+		run := c.getRun()
+		if sys.cfg.Serialize {
 			//lint:allow hotalloc — AppendBatch allocates only on its error path (unencodable batch), and the panic below formats only then
-			buf, err := sys.codec.AppendBatch(buf, c.stage(envs))
+			frame, err := sys.codec.AppendBatch(run.frame[:0], c.stage(envs))
 			if err != nil {
 				//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 				panic(fmt.Sprintf("ddetect: batch not encodable: %v", err))
 			}
 			clear(c.wenvs) // drop the staged occurrence references
-			sys.bus.SendBatchSite(now, lb.from, lb.to, buf, len(envs), len(buf))
-			// The receiver decodes fresh occurrences from the frame; the
-			// in-memory originals' transport references end at the encode.
+			run.frame = frame
 			releaseOccs(envs)
 			c.recycleEnvs(envs)
-		default:
-			// In-memory payload: ownership of the envelopes — and their
-			// occurrence references — transfers to the message inside a
-			// pooled envRun box; the transport stage recycles both after
-			// unpacking.
-			sys.bus.SendBatchSite(now, lb.from, lb.to, c.getRun(envs), len(envs), 0)
+		} else {
+			run.envs = envs
 		}
+		sys.bus.SendBatchSite(now, lb.from, lb.to, run, len(envs), len(run.frame))
 	}
 	c.order = c.order[:0]
 }
@@ -219,37 +225,23 @@ func (c *linkCoalescer) recycleEnvs(envs []envelope) {
 	c.freeEnvs = append(c.freeEnvs, envs[:0])
 }
 
-// getRun boxes a flushed envelope slice in a pooled envRun for the bus.
-func (c *linkCoalescer) getRun(envs []envelope) *envRun {
+// getRun pops a pooled envRun box for a flushed batch (allocating one
+// when the free list is empty).  A recycled box keeps its frame buffer's
+// capacity for the next serialized frame.
+func (c *linkCoalescer) getRun() *envRun {
 	n := len(c.freeRuns)
 	if n == 0 {
-		return &envRun{envs: envs}
+		c.runs++
+		return &envRun{}
 	}
 	run := c.freeRuns[n-1]
 	c.freeRuns = c.freeRuns[:n-1]
-	run.envs = envs
 	return run
 }
 
 // recycleRun returns an unpacked envRun box to the free list.
 func (c *linkCoalescer) recycleRun(run *envRun) {
 	run.envs = nil
+	run.frame = run.frame[:0]
 	c.freeRuns = append(c.freeRuns, run)
-}
-
-// getBuf pops a recycled wire-frame buffer (or nil, letting AppendBatch
-// allocate the first time).
-func (c *linkCoalescer) getBuf() []byte {
-	n := len(c.freeBufs)
-	if n == 0 {
-		return nil
-	}
-	buf := c.freeBufs[n-1]
-	c.freeBufs = c.freeBufs[:n-1]
-	return buf[:0]
-}
-
-// recycleBuf returns a delivered wire frame to the free list.
-func (c *linkCoalescer) recycleBuf(buf []byte) {
-	c.freeBufs = append(c.freeBufs, buf[:0])
 }

@@ -181,12 +181,12 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 }
 
 // transportStage drains the bus in one batch per tick, unpacks each
-// message's payload — a coalesced envelope run, a serialized batch frame,
-// or a single envelope in the differential unbatched mode — and feeds the
-// envelopes into the destination site's reorderer, which restores
-// per-link FIFO order.  The drain and decode scratch slices are reused
-// across ticks, and unpacked batch containers go back to the coalescer's
-// free lists.
+// message's payload — a pooled envRun box holding a coalesced envelope run
+// or a serialized batch frame, or a single envelope in the differential
+// unbatched mode — and feeds the envelopes into the destination site's
+// reorderer, which restores per-link FIFO order.  The drain and decode
+// scratch slices are reused across ticks, and unpacked boxes and envelope
+// runs go back to the coalescer's free lists.
 type transportStage struct {
 	sys     *System
 	batch   []network.Message
@@ -219,27 +219,24 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 		dst := sys.sites[m.ToSite]
 		switch p := m.Payload.(type) {
 		case *envRun:
-			st.acceptRun(dst, m.FromSite, m.From, m.Seq, p.envs)
-			n += len(p.envs)
-			sys.coal.recycleEnvs(p.envs)
-			sys.coal.recycleRun(p)
-		case []byte:
-			if wire.IsBatch(p) {
+			if len(p.frame) == 0 {
+				st.acceptRun(dst, m.FromSite, m.From, m.Seq, p.envs)
+				n += len(p.envs)
+				sys.coal.recycleEnvs(p.envs)
+			} else {
 				st.decoded = st.decoded[:0]
 				//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
-				if err := sys.codec.DecodeBatch(p, st.collect); err != nil {
+				if err := sys.codec.DecodeBatch(p.frame, st.collect); err != nil {
 					//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 					panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
 				}
 				st.acceptRun(dst, m.FromSite, m.From, m.Seq, st.decoded)
 				n += len(st.decoded)
 				clear(st.decoded)
-				sys.coal.recycleBuf(p)
-				break
 			}
-			st.acceptOne(dst, m.FromSite, m.From, m.Seq, sys.unpayload(p))
-			n++
+			sys.coal.recycleRun(p)
 		default:
+			// A single envelope: the DisableBatching differential mode.
 			st.acceptOne(dst, m.FromSite, m.From, m.Seq, sys.unpayload(p))
 			n++
 		}

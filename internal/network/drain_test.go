@@ -94,8 +94,8 @@ func BenchmarkDeliverDue(b *testing.B) {
 }
 
 // BenchmarkDrainDue measures the batch-drain path the transport stage
-// uses: one lock acquisition, one pre-sized batch slice reused across
-// iterations.
+// uses: one lock acquisition, and pops appended into a caller-owned slice
+// reused across iterations.
 func BenchmarkDrainDue(b *testing.B) {
 	b.ReportAllocs()
 	var buf []Message

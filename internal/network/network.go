@@ -19,6 +19,13 @@
 // measurable.  SendUnbatched is the differential twin — the same traffic
 // as envelope-per-message frames under the same delay schedule — used to
 // prove batching is a pure transport optimization.
+//
+// In-flight messages wait in a delivery queue: a min-heap of compact
+// (DeliverAt, send order, slot) keys over a slab of Message values.  Only
+// the keys move when the heap sifts; each message is written once on send
+// and moved out once on delivery, and its slot is zeroed and reused.  The
+// heap orders by (DeliverAt, send order) alone, a total order since send
+// order is unique, so delivery order does not depend on slot placement.
 package network
 
 import (
@@ -232,15 +239,17 @@ func (b *Bus) draw() (delay clock.Microticks, attempts int) {
 	return delay, attempts
 }
 
-// enqueue pushes one message and maintains the send-side counters.
-// Caller holds b.mu.
-func (b *Bus) enqueue(m Message) {
+// enqueue queues one message due at deliverAt, maintains the send-side
+// counters, and returns the message's zeroed slot for the caller to fill
+// in place (valid until the next enqueue).  Caller holds b.mu.
+func (b *Bus) enqueue(deliverAt clock.Microticks) *Message {
 	b.pushSeq++
-	b.queue.push(queued{msg: m, order: b.pushSeq})
+	m := b.queue.push(deliverAt, b.pushSeq)
 	b.stats.Sent++
-	if n := len(b.queue); n > b.stats.MaxInFlight {
+	if n := b.queue.len(); n > b.stats.MaxInFlight {
 		b.stats.MaxInFlight = n
 	}
+	return m
 }
 
 // Send enqueues a single-envelope message at reference time now and
@@ -253,7 +262,8 @@ func (b *Bus) Send(now clock.Microticks, from, to core.SiteID, payload any) Mess
 	ls := b.link(from, to)
 	delay, attempts := b.draw()
 	ls.seq++
-	m := Message{
+	m := b.enqueue(now + delay)
+	*m = Message{
 		From:      from,
 		To:        to,
 		FromSite:  core.NoSite,
@@ -267,14 +277,13 @@ func (b *Bus) Send(now clock.Microticks, from, to core.SiteID, payload any) Mess
 	if b.roster != nil {
 		m.FromSite, m.ToSite = b.roster.Site(from), b.roster.Site(to)
 	}
-	b.enqueue(m)
 	ls.sent++
 	ls.envelopes++
 	b.stats.Envelopes++
 	if attempts > 1 {
 		b.stats.Retransmitted += uint64(attempts - 1)
 	}
-	return m
+	return *m
 }
 
 // SendBatch enqueues one message carrying envelopes coalesced application
@@ -312,7 +321,8 @@ func (b *Bus) sendBatchLocked(now clock.Microticks, ls *linkState, from, to core
 	fromSite, toSite core.Site, payload any, envelopes, bytes int) Message {
 	delay, attempts := b.draw()
 	ls.seq++
-	m := Message{
+	m := b.enqueue(now + delay)
+	*m = Message{
 		From:      from,
 		To:        to,
 		FromSite:  fromSite,
@@ -323,7 +333,6 @@ func (b *Bus) sendBatchLocked(now clock.Microticks, ls *linkState, from, to core
 		Attempts:  attempts,
 		Payload:   payload,
 	}
-	b.enqueue(m)
 	ls.sent++
 	ls.envelopes += uint64(envelopes)
 	ls.bytes += uint64(bytes)
@@ -336,7 +345,7 @@ func (b *Bus) sendBatchLocked(now clock.Microticks, ls *linkState, from, to core
 	if attempts > 1 {
 		b.stats.Retransmitted += uint64(attempts - 1)
 	}
-	return m
+	return *m
 }
 
 // SendUnbatched enqueues n consecutive messages on the (from,to) link —
@@ -382,7 +391,8 @@ func (b *Bus) sendUnbatchedLocked(ls *linkState, now clock.Microticks, from, to 
 	delay, attempts := b.draw()
 	for i := 0; i < n; i++ {
 		ls.seq++
-		b.enqueue(Message{
+		payload := payloadAt(i)
+		*b.enqueue(now + delay) = Message{
 			From:      from,
 			To:        to,
 			FromSite:  fromSite,
@@ -391,8 +401,8 @@ func (b *Bus) sendUnbatchedLocked(ls *linkState, now clock.Microticks, from, to 
 			SentAt:    now,
 			DeliverAt: now + delay,
 			Attempts:  attempts,
-			Payload:   payloadAt(i),
-		})
+			Payload:   payload,
+		}
 	}
 	ls.sent += uint64(n)
 	ls.envelopes += uint64(n)
@@ -406,34 +416,18 @@ func (b *Bus) sendUnbatchedLocked(ls *linkState, now clock.Microticks, from, to 
 // (DeliverAt, send order) order, appending to buf (pass the previous
 // tick's slice, resliced to zero length, to reuse its backing array).
 // This is the batch form the transport stage drains the bus with: one
-// lock acquisition and one pre-sized append run per tick instead of a
-// lock round trip per message.
+// lock acquisition per tick instead of a lock round trip per message, and
+// once buf's capacity covers a tick's deliveries no allocation at all.
 //
 //sentinel:hotpath
 func (b *Bus) DrainDue(now clock.Microticks, buf []Message) []Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Pre-size: count the due messages (a linear scan over the heap
-	// slice, no allocation) and grow buf once.
-	due := 0
-	for i := range b.queue {
-		if b.queue[i].msg.DeliverAt <= now {
-			due++
-		}
+	n := len(buf)
+	for b.queue.due(now) {
+		buf = append(buf, b.queue.pop())
 	}
-	if due == 0 {
-		return buf
-	}
-	if free := cap(buf) - len(buf); free < due {
-		//lint:allow hotalloc — amortized growth of the caller-owned reuse buffer; steady state reuses the grown capacity tick after tick
-		grown := make([]Message, len(buf), len(buf)+due)
-		copy(grown, buf)
-		buf = grown
-	}
-	for len(b.queue) > 0 && b.queue[0].msg.DeliverAt <= now {
-		buf = append(buf, b.queue.pop().msg)
-	}
-	b.stats.Delivered += uint64(due)
+	b.stats.Delivered += uint64(len(buf) - n)
 	return buf
 }
 
@@ -445,14 +439,14 @@ func (b *Bus) DeliverDue(now clock.Microticks, fn func(Message)) int {
 	n := 0
 	for {
 		b.mu.Lock()
-		if len(b.queue) == 0 || b.queue[0].msg.DeliverAt > now {
+		if !b.queue.due(now) {
 			b.mu.Unlock()
 			return n
 		}
-		q := b.queue.pop()
+		m := b.queue.pop()
 		b.stats.Delivered++
 		b.mu.Unlock()
-		fn(q.msg)
+		fn(m)
 		n++
 	}
 }
@@ -478,17 +472,17 @@ func (b *Bus) LinkSeq(from, to core.Site) uint64 {
 func (b *Bus) Pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.queue)
+	return b.queue.len()
 }
 
 // NextDeliveryAt returns the earliest pending delivery time.
 func (b *Bus) NextDeliveryAt() (clock.Microticks, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
+	if b.queue.len() == 0 {
 		return 0, false
 	}
-	return b.queue[0].msg.DeliverAt, true
+	return b.queue.keys[0].at, true
 }
 
 // Stats returns a snapshot of the counters.
@@ -519,60 +513,111 @@ func (b *Bus) LinkStats() []LinkStat {
 	return out
 }
 
-type queued struct {
-	msg   Message
+// deliveryQueue is the bus's in-flight set: a binary min-heap of compact
+// keys over a slab of messages.  The heap orders 24-byte keys — delivery
+// time, push order and the slot holding the message — so a sift moves
+// keys, never the Message values (whose strings and interface payload
+// made every swap a block copy).  A message is written into its slot once
+// at push and moved out once at pop, which zeroes the slot.
+//
+// Freed slots need no list of their own: a pop shortens the heap by one
+// key, and the vacated key position just past the heap records the slot
+// it freed.  So keys[len(keys):len(slab)] — the keys slice's spare
+// capacity — always holds exactly the free slots, a push reuses the one at
+// keys[len(keys)], and neither push nor pop allocates once the slab has
+// reached the peak in-flight depth.
+//
+// The order is (DeliverAt, push order) — the same total order the bus has
+// always delivered in.  Push order is unique, so no two keys compare
+// equal and the pop sequence is fully determined by the keys: which slot
+// a message happens to occupy never influences delivery order.  Like
+// ddetect's readyQueue it avoids container/heap, so nothing is boxed on
+// the per-message path.
+type deliveryQueue struct {
+	keys []queueKey
+	slab []Message
+}
+
+// queueKey is one heap entry: the (DeliverAt, order) sort key and the
+// slab slot of its message.  Past the heap's length only slot is
+// meaningful: it names a free slab slot.
+type queueKey struct {
+	at    clock.Microticks
 	order uint64
+	slot  int32
 }
 
-func (q queued) less(u queued) bool {
-	if q.msg.DeliverAt != u.msg.DeliverAt {
-		return q.msg.DeliverAt < u.msg.DeliverAt
+func (k queueKey) less(u queueKey) bool {
+	if k.at != u.at {
+		return k.at < u.at
 	}
-	return q.order < u.order
+	return k.order < u.order
 }
 
-// deliveryQueue is a value-based binary min-heap on (DeliverAt, send
-// order).  Like ddetect's readyQueue it deliberately avoids
-// container/heap: entries live by value in one backing array (no per-item
-// allocation) and push/pop sift directly (no interface boxing on the
-// per-message hot path).
-type deliveryQueue []queued
+// len returns the number of queued messages.
+func (q *deliveryQueue) len() int { return len(q.keys) }
 
-func (q *deliveryQueue) push(it queued) {
-	*q = append(*q, it)
-	h := *q
-	for i := len(h) - 1; i > 0; {
+// due reports whether the earliest message is deliverable at now.
+func (q *deliveryQueue) due(now clock.Microticks) bool {
+	return len(q.keys) > 0 && q.keys[0].at <= now
+}
+
+// push takes a free slot (or a new one) for a message due at, sifts its
+// key up the heap, and returns the zeroed slot for the caller to fill.
+func (q *deliveryQueue) push(at clock.Microticks, order uint64) *Message {
+	n := len(q.keys)
+	slot := int32(n)
+	if n < len(q.slab) {
+		slot = q.keys[:n+1][n].slot
+	} else {
+		q.slab = append(q.slab, Message{})
+	}
+	it := queueKey{at: at, order: order, slot: slot}
+	h := append(q.keys, it)
+	i := n
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[i].less(h[parent]) {
+		if !it.less(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = it
+	q.keys = h
+	return &q.slab[slot]
 }
 
-func (q *deliveryQueue) pop() queued {
-	h := *q
+// pop removes the earliest message and moves it out of the slab, zeroing
+// the slot so the queue keeps no reference to the payload.
+func (q *deliveryQueue) pop() Message {
+	h := q.keys
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = queued{} // release the payload reference
+	last := h[n]
 	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
+	if n > 0 {
+		i := 0
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			least := l
+			if r := l + 1; r < n && h[r].less(h[l]) {
+				least = r
+			}
+			if !h[least].less(last) {
+				break
+			}
+			h[i] = h[least]
+			i = least
 		}
-		least := l
-		if r := l + 1; r < n && h[r].less(h[l]) {
-			least = r
-		}
-		if !h[least].less(h[i]) {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		h[i] = last
 	}
-	return top
+	h[:n+1][n] = queueKey{slot: top.slot} // record the freed slot
+	q.keys = h
+	m := q.slab[top.slot]
+	q.slab[top.slot] = Message{}
+	return m
 }
