@@ -20,8 +20,8 @@
 //   - calls to the Bus send methods (Send / SendBatch / SendUnbatched)
 //     outside methods of linkCoalescer — the flush is the one place
 //     application traffic meets the bus;
-//   - calls to the Bus drain methods (DrainDue / DeliverDue) outside
-//     methods of transportStage — the one designated consumer;
+//   - calls to the Bus drain method (DrainDue) outside methods of
+//     transportStage — the one designated consumer;
 //   - writes to fields of ddetect.Stats and calls of detector.Handler
 //     values (subscriber fan-out) outside the publish stage (methods of
 //     publishStage and the System.forwardComposite helper it drives).
@@ -100,7 +100,7 @@ var (
 		"Send": true, "SendBatch": true, "SendUnbatched": true,
 		"SendBatchSite": true, "SendUnbatchedSite": true,
 	}
-	busDrainers = map[string]bool{"DrainDue": true, "DeliverDue": true}
+	busDrainers = map[string]bool{"DrainDue": true}
 )
 
 func run(pass *analysis.Pass) error {

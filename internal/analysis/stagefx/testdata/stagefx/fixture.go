@@ -53,7 +53,6 @@ type transportStage struct{ sys *sys }
 // is not.
 func (t *transportStage) Tick() {
 	_ = t.sys.bus.DrainDue(0, nil)
-	t.sys.bus.DeliverDue(0, func(network.Message) {})
 	t.sys.bus.SendBatch(0, "a", "b", nil, 1, 0) // want `stagefx: Bus\.SendBatch outside the coalescer flush`
 }
 

@@ -102,3 +102,32 @@ func TestHeartbeatStepAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfOrderBufferingRecycles pins that the reorderer buffers an
+// out-of-order batch in a run recycled from an earlier drain: once warm,
+// a gap-then-fill cycle on one link allocates nothing, and every buffered
+// envelope is accounted back out.
+func TestOutOfOrderBufferingRecycles(t *testing.T) {
+	roster := core.NewRoster([]core.SiteID{"a", "b"})
+	r := newReorderer(roster)
+	a := roster.MustSite("a")
+	envs := []envelope{{Kind: envHeartbeat, Global: 1}, {Kind: envHeartbeat, Global: 2}}
+	seq := uint64(1)
+	cycle := func() {
+		if err := r.acceptBatch(a, seq+1, envs); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.acceptBatch(a, seq, envs); err != nil {
+			t.Fatal(err)
+		}
+		seq += 2
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("gap-then-fill cycle allocates %.1f times, want 0", n)
+	}
+	if r.buffered != 0 || len(r.sources[a].pending) != 0 || len(r.runs) != 1 {
+		t.Errorf("after the cycles: buffered %d, pending %d, spare runs %d; want 0, 0, 1",
+			r.buffered, len(r.sources[a].pending), len(r.runs))
+	}
+}

@@ -113,6 +113,10 @@ type reorderer struct {
 
 	// buffered counts FIFO-pending envelopes for quiescence checks.
 	buffered int
+	// runs holds emptied envelope runs for acceptBatch to reuse: drain
+	// returns each run it consumes, so buffering an out-of-order message
+	// copies its envelopes into a recycled backing array, not a new one.
+	runs [][]envelope
 	// gating counts non-excluded sources, so exhaustion (everything
 	// decommissioned) is O(1) to detect.
 	gating int
@@ -207,36 +211,21 @@ func (r *reorderer) source(from core.Site, seq uint64) (*sourceState, error) {
 }
 
 // accept ingests a single-envelope message from a source with its link
-// sequence number, draining any in-order run it completes.  The common
-// in-order case bypasses the pending map entirely.
+// sequence number: acceptBatch over a one-envelope run.
 //
 //sentinel:hotpath
 func (r *reorderer) accept(from core.Site, seq uint64, env envelope) error {
-	st, err := r.source(from, seq)
-	if err != nil {
-		return err
-	}
-	if seq == st.nextSeq {
-		st.nextSeq++
-		r.ingest(st, env)
-		r.drain(st)
-		return nil
-	}
-	if st.pending == nil {
-		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
-		st.pending = make(map[uint64][]envelope)
-	}
-	//lint:allow hotalloc — the pending run is retained until the sequence gap fills; the buffer is the point of the reorderer
-	st.pending[seq] = []envelope{env}
-	r.buffered++
-	return nil
+	run := [1]envelope{env}
+	return r.acceptBatch(from, seq, run[:])
 }
 
 // acceptBatch ingests one coalesced message: a run of envelopes sharing a
-// single link sequence number, in their sender's emission order.  The
-// in-order case ingests straight from the caller's slice, which the
-// caller may recycle as soon as acceptBatch returns; only an out-of-order
-// arrival copies the run into an owned buffer.
+// single link sequence number, in their sender's emission order, draining
+// any in-order run it completes.  The in-order case ingests straight from
+// the caller's slice, which the caller may recycle as soon as acceptBatch
+// returns, and bypasses the pending map entirely.  An out-of-order
+// arrival is buffered until the gap before it fills, copied into a
+// recycled run when one is spare.
 //
 //sentinel:hotpath
 func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []envelope) error {
@@ -256,12 +245,19 @@ func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []envelope) err
 		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
 		st.pending = make(map[uint64][]envelope)
 	}
-	st.pending[seq] = append([]envelope(nil), envs...)
+	var run []envelope
+	if n := len(r.runs); n > 0 {
+		run = r.runs[n-1]
+		r.runs = r.runs[:n-1]
+	}
+	st.pending[seq] = append(run, envs...)
 	r.buffered += len(envs)
 	return nil
 }
 
-// drain consumes the in-order run now sitting in the pending map.
+// drain consumes the in-order run now sitting in the pending map,
+// returning each consumed run, cleared of its occurrence pointers, to
+// r.runs.
 func (r *reorderer) drain(st *sourceState) {
 	for len(st.pending) > 0 {
 		next, ok := st.pending[st.nextSeq]
@@ -274,6 +270,8 @@ func (r *reorderer) drain(st *sourceState) {
 		for _, env := range next {
 			r.ingest(st, env)
 		}
+		clear(next)
+		r.runs = append(r.runs, next[:0])
 	}
 }
 

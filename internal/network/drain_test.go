@@ -8,10 +8,11 @@ import (
 	"repro/internal/core"
 )
 
-// TestDrainDueMatchesDeliverDue pins that the batch-drain path yields
-// exactly the per-message path's messages, in the same deterministic
-// (DeliverAt, send order) order, and reuses the caller's buffer.
-func TestDrainDueMatchesDeliverDue(t *testing.T) {
+// TestDrainDueCadenceIndependent pins that the drain cadence does not
+// change what is delivered: the same traffic drained at every instant and
+// every 25 instants into a reused buffer yields the same messages in the
+// same deterministic (DeliverAt, send order) order.
+func TestDrainDueCadenceIndependent(t *testing.T) {
 	cfg := Config{BaseLatency: 10, Jitter: 50, Seed: 8}
 	load := func(b *Bus) {
 		for i := 0; i < 200; i++ {
@@ -19,23 +20,20 @@ func TestDrainDueMatchesDeliverDue(t *testing.T) {
 			b.Send(clock.Microticks(i), "b", "a", i)
 		}
 	}
-	one := NewBus(cfg)
-	load(one)
-	var want []Message
-	for now := clock.Microticks(0); one.Pending() > 0; now += 25 {
-		one.DeliverDue(now, func(m Message) { want = append(want, m) })
+	drainEvery := func(step clock.Microticks) ([]Message, *Bus) {
+		b := NewBus(cfg)
+		load(b)
+		var got, buf []Message
+		for now := clock.Microticks(0); b.Pending() > 0; now += step {
+			buf = b.DrainDue(now, buf[:0])
+			got = append(got, buf...)
+		}
+		return got, b
 	}
-
-	batch := NewBus(cfg)
-	load(batch)
-	var got []Message
-	var buf []Message
-	for now := clock.Microticks(0); batch.Pending() > 0; now += 25 {
-		buf = batch.DrainDue(now, buf[:0])
-		got = append(got, buf...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d messages, delivered %d", len(got), len(want))
+	want, one := drainEvery(1)
+	got, batch := drainEvery(25)
+	if len(want) != 400 || len(got) != len(want) {
+		t.Fatalf("drained %d messages every 25 instants, %d every instant, want 400", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -73,23 +71,6 @@ func loadBus(b *Bus, n int) {
 		from := core.SiteID(fmt.Sprintf("s%d", i%8))
 		to := core.SiteID(fmt.Sprintf("s%d", (i+1)%8))
 		b.Send(clock.Microticks(i%100), from, to, i)
-	}
-}
-
-// BenchmarkDeliverDue measures the legacy per-message drain (one lock
-// round trip per message).
-func BenchmarkDeliverDue(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bus := NewBus(Config{BaseLatency: 5, Jitter: 20, Seed: 1})
-		loadBus(bus, 1024)
-		b.StartTimer()
-		n := 0
-		bus.DeliverDue(1_000_000, func(m Message) { n++ })
-		if n != 1024 {
-			b.Fatalf("delivered %d", n)
-		}
 	}
 }
 

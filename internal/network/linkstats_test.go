@@ -89,13 +89,15 @@ func TestLinkStatsUnderLossAndReorder(t *testing.T) {
 	// Draining to quiescence delivers every message exactly once despite
 	// the scrambled schedule.
 	delivered := 0
-	for b.Pending() > 0 {
-		at, _ := b.NextDeliveryAt()
-		delivered += b.DeliverDue(at, func(m Message) {
-			if m.SentAt > at {
+	var buf []Message
+	for now := clock.Microticks(0); b.Pending() > 0; now++ {
+		buf = b.DrainDue(now, buf[:0])
+		for _, m := range buf {
+			if m.SentAt > now {
 				t.Errorf("message delivered before it was sent: %+v", m)
 			}
-		})
+		}
+		delivered += len(buf)
 	}
 	if uint64(delivered) != st.Sent {
 		t.Fatalf("delivered %d of %d sent messages", delivered, st.Sent)
@@ -134,9 +136,8 @@ func TestLinkStatsReorderWithinLink(t *testing.T) {
 		b.Send(clock.Microticks(i*5), "a", "b", i)
 	}
 	var seqs []uint64
-	for b.Pending() > 0 {
-		at, _ := b.NextDeliveryAt()
-		b.DeliverDue(at, func(m Message) { seqs = append(seqs, m.Seq) })
+	for _, m := range b.DrainDue(1<<40, nil) {
+		seqs = append(seqs, m.Seq)
 	}
 	if len(seqs) != n {
 		t.Fatalf("delivered %d of %d", len(seqs), n)

@@ -65,8 +65,13 @@ func TestSetRosterRehomesExistingLinks(t *testing.T) {
 	bus := NewBus(Config{})
 	bus.Send(0, "a", "b", "early")
 	bus.SetRoster(roster)
-	m := bus.SendBatchSite(1, roster.MustSite("a"), roster.MustSite("b"), "late", 1, 0)
-	if m.Seq != 2 {
+	bus.SendBatchSite(1, roster.MustSite("a"), roster.MustSite("b"), "late", 1, 0)
+	msgs := bus.DrainDue(1, nil)
+	if len(msgs) != 2 {
+		t.Fatalf("drained %d messages, want 2", len(msgs))
+	}
+	m := msgs[1]
+	if m.Payload != "late" || m.Seq != 2 {
 		t.Fatalf("dense send after re-home got seq %d, want 2 (continuing the string link)", m.Seq)
 	}
 	if m.From != "a" || m.To != "b" {
@@ -85,12 +90,14 @@ func TestLinkSeqCountsSentMessages(t *testing.T) {
 	if got := bus.LinkSeq(a, b); got != 0 {
 		t.Fatalf("unused link LinkSeq = %d, want 0", got)
 	}
-	var last Message
 	for i := 0; i < 4; i++ {
-		last = bus.SendBatchSite(int64(i), a, b, i, 2, 0)
+		bus.SendBatchSite(int64(i), a, b, i, 2, 0)
+	}
+	if got := bus.LinkSeq(a, b); got != 4 {
+		t.Fatalf("LinkSeq(a, b) = %d after 4 batches, want 4", got)
 	}
 	bus.SendUnbatchedSite(9, a, b, 3, func(j int) any { return j })
-	if got := bus.LinkSeq(a, b); got != last.Seq+3 || got != 7 {
+	if got := bus.LinkSeq(a, b); got != 7 {
 		t.Fatalf("LinkSeq(a, b) = %d, want 7", got)
 	}
 	if got := bus.LinkSeq(b, a); got != 0 {
